@@ -61,13 +61,13 @@ constexpr std::size_t kWorkerCounts[] = {1, 2, 4, 8};
 struct Mode {
   const char* name;
   std::uint32_t free_shards;
-  int magazines;
+  bool magazines;
 };
 
 constexpr Mode kModes[] = {
-    {"global", 1, 0},
-    {"sharded", 8, 0},
-    {"sharded_mag", 8, 1},
+    {"global", 1, false},
+    {"sharded", 8, false},
+    {"sharded_mag", 8, true},
 };
 
 // --smoke: cleaner scenario only, fixed window (see header comment).

@@ -20,6 +20,10 @@
 #               duplicate-resume fork guard and the EPC placement sweeps run
 #               under ASan+UBSan with failpoints and the rank checker live
 #   nofailpoint zero-overhead-when-off symbol check on the plain tree
+#   repeat      the concurrency labels (ctest -L 'pos|sched|migrate|supervise')
+#               ten times over on the plain tree with --repeat until-fail:10,
+#               unpinned on every CPU of the host (prints nproc): a test that
+#               fails intermittently on multi-core fails this leg
 #   bench       bench smoke: bench_batching + bench_pos + bench_sched,
 #               JSON schema check (incl. the zero-copy counter guard)
 #   posperf     perf-regression guard: a fresh `bench_pos --smoke` cleaner
@@ -197,6 +201,17 @@ check_no_failpoint_symbols() {
 }
 leg nofailpoint "no failpoint symbols in plain build" \
   check_no_failpoint_symbols
+
+# --- repeat: multi-core is a standing test condition. The concurrency
+# labels run ten times over, unpinned, so an interleaving that only shows up
+# on some runs (or only with more than one CPU) fails the matrix.
+repeat_concurrency_suite() {
+  echo "nproc: $(nproc)"
+  build_and_test build-check -L 'pos|sched|migrate|supervise' \
+    --repeat until-fail:10 -- -DEA_WERROR=ON -DEA_SANITIZE=
+}
+leg repeat "concurrency labels x10, unpinned (ctest --repeat until-fail:10)" \
+  repeat_concurrency_suite
 
 # --- bench smoke: each bench runs end-to-end and its JSON report parses ----
 # with the expected v3 schema (uses the plain tree from the plain leg).

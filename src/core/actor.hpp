@@ -94,8 +94,8 @@ class Actor {
 
   // Enclave this actor is deployed into (kUntrusted when outside). Atomic:
   // migration rewrites it while workers concurrently read it for dispatch
-  // (the stealing scheduler re-reads the placement on every dispatch, which
-  // is what makes live migration possible at all — DESIGN.md §17).
+  // (every worker re-reads the placement on every dispatch, which is what
+  // makes live migration possible at all — DESIGN.md §17).
   sgxsim::EnclaveId placement() const noexcept {
     return placement_.load(std::memory_order_acquire);
   }

@@ -74,8 +74,6 @@ const char* to_string(MigrateResult result) noexcept {
       return "not-migratable";
     case MigrateResult::kBusy:
       return "busy";
-    case MigrateResult::kSchedUnsupported:
-      return "sched-unsupported";
     case MigrateResult::kSamePlacement:
       return "same-placement";
     case MigrateResult::kRouteQuarantined:
@@ -181,12 +179,6 @@ MigrateResult MigrationCoordinator::migrate(const std::string& actor_name,
 
 MigrateResult MigrationCoordinator::migrate(Actor& actor,
                                             sgxsim::Enclave& target) {
-  // The static scheduler's uniform-affinity fast path enters the enclave
-  // once and never re-reads placements (worker.cpp run_single_enclave);
-  // only the stealing scheduler re-evaluates placement per dispatch.
-  if (rt_.running() && rt_.options().sched != SchedMode::kSteal) {
-    return MigrateResult::kSchedUnsupported;
-  }
   if (!actor.migratable()) return MigrateResult::kNotMigratable;
   const sgxsim::EnclaveId src_id = actor.placement();
   // Untrusted actors have no sealed identity to hand off (and nothing an

@@ -30,11 +30,9 @@
 //                compare-and-increment. A second resume of the same bundle
 //                — the resume-twice fork — finds the counter already
 //                advanced and is refused.
-//  * resume    — scheduler affinity masks are extended (the stealing
-//                scheduler re-reads placement per dispatch, which is what
-//                makes live migration possible; the static scheduler's
-//                enter-once fast path is rejected while running), the
-//                placement flips, channel routes are rewritten in place
+//  * resume    — scheduler affinity masks are extended (both round
+//                policies re-read placement per dispatch, which is what
+//                makes live migration possible), the placement flips, channel routes are rewritten in place
 //                (in-flight messages re-sealed under the new pair key,
 //                FIFO preserved), and the actor imports its state inside
 //                the TARGET enclave.
@@ -69,8 +67,6 @@ enum class MigrateResult : std::uint8_t {
   kNotFound,          // unknown actor or enclave
   kNotMigratable,     // actor did not opt in (or is placed untrusted)
   kBusy,              // actor not Runnable (failed/restarting/migrating)
-  kSchedUnsupported,  // runtime running with the static scheduler, whose
-                      // enter-once fast path never re-reads placement
   kSamePlacement,     // source == target
   kRouteQuarantined,  // a previous migration failed on this route
   kSealFailed,        // export/seal failed; actor restored at source
@@ -105,8 +101,8 @@ class MigrationCoordinator {
   MigrationCoordinator& operator=(const MigrationCoordinator&) = delete;
 
   // Migrates `actor_name` into the named enclave (created on first use,
-  // like Runtime::enclave()). Safe to call while the runtime runs iff the
-  // stealing scheduler is active; always allowed before start().
+  // like Runtime::enclave(), but only before start()). Safe to call while
+  // the runtime runs, under either scheduler.
   MigrateResult migrate(const std::string& actor_name,
                         const std::string& target_enclave);
   MigrateResult migrate(Actor& actor, sgxsim::Enclave& target);

@@ -130,87 +130,13 @@ void Worker::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-bool Worker::round() {
-  bool progress = false;
-  for (Actor* actor : actors_) {
-    // Containment (DESIGN.md §12): an exception escaping body() fails the
-    // actor, not the process. Non-Runnable actors are skipped — one
-    // relaxed-ish load per actor per round; the try/catch itself is free
-    // on the no-throw path.
-    progress |= invoke_contained(*actor);
-  }
-  dispatches_.fetch_add(actors_.size(), std::memory_order_relaxed);
-  rounds_.fetch_add(1, std::memory_order_relaxed);
-  return progress;
-}
-
 void Worker::run() {
   util::pin_current_thread(cpus_);
   tls_current_worker = this;
-
-  if (mode_ == SchedMode::kSteal) {
-    run_steal();
-    tls_current_worker = nullptr;
-    return;
-  }
-
-  // Determine whether all actors share one enclave.
-  bool uniform = true;
-  sgxsim::EnclaveId common = sgxsim::kUntrusted;
-  if (!actors_.empty()) {
-    common = actors_.front()->placement();
-    for (Actor* a : actors_) {
-      if (a->placement() != common) {
-        uniform = false;
-        break;
-      }
-    }
-  }
-
-  if (uniform && common != sgxsim::kUntrusted) {
-    sgxsim::Enclave* enclave =
-        sgxsim::EnclaveManager::instance().find(common);
-    if (enclave != nullptr) {
-      run_single_enclave(*enclave);
-      tls_current_worker = nullptr;
-      return;
-    }
-  }
-  run_mixed();
-  tls_current_worker = nullptr;
-}
-
-void Worker::run_single_enclave(sgxsim::Enclave& enclave) {
-  // Enter once, stay inside: the EActors fast path.
-  sgxsim::EnclaveScope scope(enclave);
   IdleBackoff backoff;
   while (!stop_.load(std::memory_order_relaxed)) {
-    if (round()) {
-      backoff.reset();
-    } else {
-      park_idle(backoff);
-    }
-  }
-}
-
-void Worker::run_mixed() {
-  IdleBackoff backoff;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    bool progress = false;
-    for (Actor* actor : actors_) {
-      if (actor->placement() != sgxsim::kUntrusted) {
-        sgxsim::Enclave* enclave =
-            sgxsim::EnclaveManager::instance().find(actor->placement());
-        if (enclave != nullptr) {
-          // Migrate into the actor's enclave for this activation only.
-          sgxsim::EnclaveScope scope(*enclave);
-          progress |= invoke_contained(*actor);
-          continue;
-        }
-      }
-      progress |= invoke_contained(*actor);
-    }
-    dispatches_.fetch_add(actors_.size(), std::memory_order_relaxed);
+    const bool progress =
+        mode_ == SchedMode::kSteal ? steal_round() : static_round();
     rounds_.fetch_add(1, std::memory_order_relaxed);
     if (progress) {
       backoff.reset();
@@ -218,9 +144,24 @@ void Worker::run_mixed() {
       park_idle(backoff);
     }
   }
+  switch_enclave(sgxsim::kUntrusted);
+  tls_current_worker = nullptr;
 }
 
-// --- stealing scheduler ------------------------------------------------------
+bool Worker::static_round() {
+  bool progress = false;
+  for (Actor* actor : actors_) {
+    // Placement is re-read on every dispatch, so a migrated actor runs in
+    // its new enclave from the next round on. A worker whose actors share
+    // one enclave enters it on the first dispatch and never leaves.
+    // Containment (DESIGN.md §12): an exception escaping body() fails the
+    // actor, not the process; non-Runnable actors are skipped.
+    switch_enclave(actor->placement());
+    progress |= invoke_contained(*actor);
+  }
+  dispatches_.fetch_add(actors_.size(), std::memory_order_relaxed);
+  return progress;
+}
 
 void Worker::switch_enclave(sgxsim::EnclaveId enclave) {
   if (enclave == entered_) return;
@@ -236,6 +177,8 @@ void Worker::switch_enclave(sgxsim::EnclaveId enclave) {
     }
   }
 }
+
+// --- stealing round policy ---------------------------------------------------
 
 void Worker::push_own(Actor* actor, bool fresh_wakeup) {
   concurrent::RunQueue& q =
@@ -344,33 +287,23 @@ bool Worker::poll_parked_home() {
   return progress;
 }
 
-void Worker::run_steal() {
-  IdleBackoff backoff;
-  std::uint32_t rounds_since_poll = kIdlePollRounds;  // poll on round one
-  while (!stop_.load(std::memory_order_relaxed)) {
-    bool progress = false;
-    // Phase 1: drain ready work — own queues, then a random victim.
-    std::size_t budget = kStealRoundBudget;
-    while (budget-- > 0 && !stop_.load(std::memory_order_relaxed)) {
-      Actor* actor = pop_own();
-      if (actor == nullptr) actor = try_steal();
-      if (actor == nullptr) break;
-      progress |= dispatch_steal(*actor);
-    }
-    // Phase 2: paced poll of parked home actors — immediately when the
-    // round found no ready work, every kIdlePollRounds rounds under load.
-    if (!progress || ++rounds_since_poll >= kIdlePollRounds) {
-      rounds_since_poll = 0;
-      progress |= poll_parked_home();
-    }
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    if (progress) {
-      backoff.reset();
-    } else {
-      park_idle(backoff);
-    }
+bool Worker::steal_round() {
+  bool progress = false;
+  // Phase 1: drain ready work — own queues, then a random victim.
+  std::size_t budget = kStealRoundBudget;
+  while (budget-- > 0 && !stop_.load(std::memory_order_relaxed)) {
+    Actor* actor = pop_own();
+    if (actor == nullptr) actor = try_steal();
+    if (actor == nullptr) break;
+    progress |= dispatch_steal(*actor);
   }
-  switch_enclave(sgxsim::kUntrusted);
+  // Phase 2: paced poll of parked home actors — immediately when the round
+  // found no ready work, every kIdlePollRounds rounds under load.
+  if (!progress || ++rounds_since_poll_ >= kIdlePollRounds) {
+    rounds_since_poll_ = 0;
+    progress |= poll_parked_home();
+  }
+  return progress;
 }
 
 }  // namespace ea::core

@@ -1,13 +1,17 @@
-// Workers (paper §3.2) and the two scheduling modes (DESIGN.md §14).
+// Workers (paper §3.2) and the two scheduling round policies (DESIGN.md
+// §14).
 //
 // A worker manages one POSIX thread, is bound to a CPU set, and executes
-// eactor body functions. Two schedulers are available, selected per
-// deployment (`sched=static|steal` in the config grammar):
+// eactor body functions. Every worker runs the same loop: one round, count
+// it, pace idle rounds with IdleBackoff, and on stop leave any enclave. The
+// thread stays inside the enclave of the last dispatched actor ("sticky"
+// entry) and pays a transition only when consecutive dispatches change
+// enclave, so a worker whose actors share one enclave enters it once and
+// never leaves — the paper's zero-transition fast path. What a round does
+// is selected per deployment (`sched=static|steal` in the config grammar):
 //
-//  * kStatic — the paper's scheduler and the ablation baseline: the worker
-//    executes its fixed actor list round-robin. If every actor of a worker
-//    lives in the same enclave, the worker enters that enclave once and
-//    never leaves — zero transitions on the steady-state path.
+//  * kStatic — the paper's scheduler and the ablation baseline: one
+//    fixed-order pass over the worker's own actor list.
 //
 //  * kSteal — per-worker run queues with work stealing (CAF-style, see
 //    *Revisiting Actor Programming in C++*): the worker drains its own
@@ -17,10 +21,7 @@
 //    enclaves of its home actors) and steals filter candidates by it.
 //    Actors carry a ready/idle state driven by mailbox activity: an actor
 //    whose body made no progress and whose mailboxes are empty parks,
-//    occupying no queue slot, until a home-worker poll tick wakes it. The
-//    thread stays inside the enclave of the last dispatched actor
-//    ("sticky" entry), so uniform-affinity workers keep the zero-transition
-//    fast path of the static scheduler.
+//    occupying no queue slot, until a home-worker poll tick wakes it.
 #pragma once
 
 #include <array>
@@ -37,7 +38,7 @@ namespace ea::core {
 
 // Deployment-wide scheduler selection (RuntimeOptions::sched, config
 // directive `sched static|steal`). Static is the default: existing
-// deployments keep the paper's fixed mapping bit-for-bit.
+// deployments keep the paper's fixed actor-to-worker mapping.
 enum class SchedMode : std::uint8_t {
   kStatic = 0,
   kSteal = 1,
@@ -149,7 +150,7 @@ class Worker {
     return rounds_.load(std::memory_order_relaxed);
   }
 
-  // --- stealing-scheduler observability (health snapshot) -----------------
+  // --- scheduler observability (health snapshot) ---------------------------
 
   // Actors dispatched by this worker (both modes; static counts per-actor
   // executions of its round-robin list).
@@ -173,17 +174,17 @@ class Worker {
 
  private:
   void run();
-  void run_single_enclave(sgxsim::Enclave& enclave);
-  void run_mixed();
-  // One round-robin pass over the assigned actors; returns true if any
-  // actor reported progress.
-  bool round();
-
-  // --- stealing scheduler --------------------------------------------------
-  void run_steal();
+  // Round policies; each returns true if any dispatch made progress.
+  // static: one fixed-order pass over the assigned actors.
+  bool static_round();
+  // steal: drain own queues and steal (budgeted), then a paced poll of
+  // parked home actors.
+  bool steal_round();
   // Moves the thread into `enclave` (sticky: stays until a dispatch needs a
   // different placement; kUntrusted exits).
   void switch_enclave(sgxsim::EnclaveId enclave);
+
+  // --- stealing round policy ------------------------------------------------
   // Runs one dispatch of an actor this thread holds exclusively
   // (kDispatched) and hands it back to kQueued (re-push) or kParked.
   bool dispatch_steal(Actor& actor);
@@ -221,6 +222,7 @@ class Worker {
   concurrent::RunQueue norm_q_;
   sgxsim::EnclaveId entered_ = sgxsim::kUntrusted;  // sticky enclave context
   std::uint64_t victim_rng_ = 0;
+  std::uint32_t rounds_since_poll_ = kIdlePollRounds;  // poll on round one
   std::atomic<std::uint64_t> dispatches_{0};
   std::atomic<std::uint64_t> steals_{0};
 };

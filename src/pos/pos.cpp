@@ -8,8 +8,8 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
-#include "util/env.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 
@@ -98,11 +98,6 @@ struct Pos::Entry {
     return {data() + klen, vlen};
   }
 };
-
-bool Pos::magazines_enabled() noexcept {
-  static const bool enabled = util::env_int("EA_POS_MAGAZINE", 1) != 0;
-  return enabled;
-}
 
 Pos::Pos(PosOptions options) : options_(std::move(options)) {
   bool fresh = true;
@@ -237,8 +232,6 @@ Pos::Pos(PosOptions options) : options_(std::move(options)) {
     free_locks_[s].set_rank(concurrent::LockRank::kPosFree);
   }
 
-  use_magazines_ =
-      options_.magazines < 0 ? magazines_enabled() : options_.magazines != 0;
   magazines_.set_return(
       this, [](void* ctx, std::uint64_t* items, std::uint32_t count) {
         static_cast<Pos*>(ctx)->magazine_return(items, count);
@@ -466,7 +459,7 @@ void Pos::magazine_return(const std::uint64_t* items,
 }
 
 std::uint64_t Pos::alloc_entry() EA_LOCK_NOEXCEPT {
-  if (use_magazines_) {
+  if (options_.magazines) {
     Magazine* mag = magazines_.acquire();
     if (mag != nullptr) {
       std::uint32_t c = mag->count.load(std::memory_order_relaxed);
@@ -770,55 +763,65 @@ std::size_t Pos::erase_partition(std::span<const std::uint8_t> prefix) {
 
 std::size_t Pos::gather_retired() {
   std::vector<std::uint64_t> batch;
+  // (predecessor, entry) of each retirable entry of one bucket; predecessor
+  // 0 means the entry was the bucket head when the walk passed it.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> found;
   for (std::uint32_t b = 0; b < sb_->bucket_count; ++b) {
     concurrent::HleGuard guard(bucket_locks_[b]);
+    found.clear();
     std::uint64_t prev = 0;
-    std::uint64_t cur = bucket_head(b).load(std::memory_order_acquire);
-    while (cur != 0) {
+    for (std::uint64_t cur = bucket_head(b).load(std::memory_order_acquire);
+         cur != 0;) {
       Entry* e = entry_at(cur);
-      std::uint64_t next = e->next.load(std::memory_order_relaxed);
-      std::uint32_t state = e->state.load(std::memory_order_relaxed);
+      const std::uint32_t state = e->state.load(std::memory_order_relaxed);
       if (state == kStateOutdated || state == kStateErased) {
-        if (prev == 0) {
-          // Head removal races the lock-free pushers: CAS the head out,
-          // and on failure walk down from the new head to find cur's
-          // predecessor (pushers only ever prepend, so cur's position
-          // below the old head is stable while we hold the bucket lock).
-          std::uint64_t expected = cur;
-          if (!bucket_head(b).compare_exchange_strong(
-                  expected, next, std::memory_order_acq_rel,
-                  std::memory_order_acquire)) {
-            std::uint64_t p = expected;
-            while (p != 0 &&
-                   entry_at(p)->next.load(std::memory_order_acquire) != cur) {
-              p = entry_at(p)->next.load(std::memory_order_acquire);
-            }
-            if (p == 0) {
-              // Lost track of cur (cannot happen while we hold the only
-              // unlink path, but stay defensive): leave it for the next
-              // round rather than corrupt the chain.
-              prev = cur;
-              cur = next;
-              continue;
-            }
-            entry_at(p)->next.store(next, std::memory_order_release);
-            prev = p;
-          }
-        } else {
-          entry_at(prev)->next.store(next, std::memory_order_release);
-        }
-        // The unlinked entry keeps its own next pointer (RCU discipline):
-        // a section that already stands on it can still walk off it.
-        // Kill-point: the entry just left its bucket chain but sits only in
-        // the process-local retirement batch, which the crash destroys —
-        // the slot is leaked until the next full reinitialisation, by
-        // design.
-        EA_FAIL_POINT("pos.clean.unlink");
-        batch.push_back(cur);
-      } else {
-        prev = cur;
+        found.emplace_back(prev, cur);
       }
-      cur = next;
+      prev = cur;
+      cur = e->next.load(std::memory_order_relaxed);
+    }
+    // Unlink bottom-up: an older version of a key always leaves the chain
+    // before any newer version above it, so a get() walking down can never
+    // step past a tombstone (or its newer overwrite) onto an older version
+    // — not even a crash between two unlinks exposes one. Each recorded
+    // predecessor still points at its entry: only this bucket-locked pass
+    // unlinks, and everything unlinked so far sat below it.
+    for (auto it = found.rbegin(); it != found.rend(); ++it) {
+      const std::uint64_t cur = it->second;
+      const std::uint64_t next =
+          entry_at(cur)->next.load(std::memory_order_relaxed);
+      std::uint64_t pred = it->first;
+      if (pred == 0) {
+        // Head removal races the lock-free pushers: CAS the head out, and
+        // on failure walk down from the new head to find cur's predecessor
+        // (pushers only ever prepend, so cur's position below the old head
+        // is stable while we hold the bucket lock).
+        std::uint64_t expected = cur;
+        if (!bucket_head(b).compare_exchange_strong(
+                expected, next, std::memory_order_acq_rel,
+                std::memory_order_acquire)) {
+          pred = expected;
+          while (pred != 0 &&
+                 entry_at(pred)->next.load(std::memory_order_acquire) != cur) {
+            pred = entry_at(pred)->next.load(std::memory_order_acquire);
+          }
+          // Lost track of cur (cannot happen while we hold the only unlink
+          // path, but stay defensive): leave it for the next round rather
+          // than corrupt the chain. It is the topmost candidate, so nothing
+          // newer is left waiting above it.
+          if (pred == 0) break;
+        }
+      }
+      if (pred != 0) {
+        entry_at(pred)->next.store(next, std::memory_order_release);
+      }
+      // The unlinked entry keeps its own next pointer (RCU discipline): a
+      // section that already stands on it can still walk off it.
+      // Kill-point: the entry just left its bucket chain but sits only in
+      // the process-local retirement batch, which the crash destroys — the
+      // slot is leaked until the next full reinitialisation, by design.
+      EA_FAIL_POINT("pos.clean.unlink");
+      batch.push_back(cur);
     }
   }
   const std::size_t gathered = batch.size();

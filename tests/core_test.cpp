@@ -318,6 +318,35 @@ TEST_F(CoreTest, MixedWorkerMigratesEveryRound) {
   EXPECT_GT(sgxsim::transition_stats().ecalls, 20u);
 }
 
+// Always ready: keeps its worker's rounds spinning.
+class BusyActor : public Actor {
+ public:
+  using Actor::Actor;
+  bool body() override { return true; }
+};
+
+TEST_F(CoreTest, MixedStaticWorkerEntersOncePerEnclaveRun) {
+  // Sticky entry under the static round policy: with actors [e1, e1,
+  // untrusted] the worker enters e1 once per round — the two e1 actors run
+  // back to back inside it — rather than once per e1 activation.
+  Runtime rt;
+  rt.add_actor(std::make_unique<BusyActor>("a"), "sticky-e1");
+  rt.add_actor(std::make_unique<BusyActor>("b"), "sticky-e1");
+  rt.add_actor(std::make_unique<BusyActor>("u"));
+  rt.add_worker("w", {}, {"a", "b", "u"});
+
+  sgxsim::reset_transition_stats();
+  rt.start();
+  const Worker& w = *rt.workers().front();
+  EXPECT_TRUE(eventually([&] { return w.rounds() >= 1000; }));
+  rt.stop();
+
+  // start(): 2 constructor ecalls; worker: 1 entry per round.
+  const std::uint64_t ecalls = sgxsim::transition_stats().ecalls;
+  EXPECT_GE(ecalls, w.rounds());
+  EXPECT_LE(ecalls, w.rounds() + 2);
+}
+
 // --- idle backoff -----------------------------------------------------------
 
 TEST(IdleBackoffTest, RampsYieldsThenExponentialSleepCapped) {

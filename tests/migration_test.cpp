@@ -6,9 +6,9 @@
 //  * the monotonic-counter ticket has exactly one consume winner;
 //  * POS partition export/import round-trips and export leaves no live keys;
 //  * a pre-start migration moves placement AND the EPC accounting;
-//  * every refusal code (not-migratable, untrusted, same placement, static
-//    scheduler while running, unknown names) fires before any state moves;
-//  * a live migration under the stealing scheduler mid-traffic loses and
+//  * every refusal code (not-migratable, untrusted, same placement, unknown
+//    names) fires before any state moves;
+//  * a live migration mid-traffic, under either scheduler, loses and
 //    reorders nothing on an encrypted channel rebound in place;
 //  * per-enclave EPC accounting is visible through Runtime::health();
 //  * the placement controller evicts the cheapest actor off an enclave
@@ -20,6 +20,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +37,10 @@
 #include "util/bytes.hpp"
 
 namespace ea::core {
+
+// Names the scheduler in gtest's parameter listing.
+void PrintTo(SchedMode mode, std::ostream* os) { *os << to_string(mode); }
+
 namespace {
 
 using namespace std::chrono_literals;
@@ -208,17 +213,11 @@ TEST_F(MigrationTest, RefusalCodesFireBeforeAnyStateMoves) {
   sgxsim::Enclave& src = rt.enclave("ref.src");
   EXPECT_EQ(coordinator.migrate(*actor, src), MigrateResult::kSamePlacement);
 
-  // The static scheduler's enter-once fast path cannot follow a placement
-  // change, so live migration is refused while it runs.
-  rt.start();
-  EXPECT_EQ(coordinator.migrate(*actor, dst), MigrateResult::kSchedUnsupported);
-  rt.stop();
-
   EXPECT_EQ(actor->placement(), src.id());
   EXPECT_EQ(coordinator.stats().attempted, 0u);
 }
 
-// --- live migration under the stealing scheduler ----------------------------
+// --- live migration, under both schedulers ----------------------------------
 
 // Untrusted driver: window-sends sequence numbers and asserts the echoes
 // come back complete and strictly in order — the zero-loss/zero-reorder
@@ -291,9 +290,14 @@ class EchoActor : public MigratoryActor {
   ChannelEnd* end_ = nullptr;
 };
 
-TEST_F(MigrationTest, LiveMigrationLosesNoMessageOnEncryptedChannel) {
+// Both round policies re-read placement on every dispatch, so live
+// migration must hold under each of them.
+class LiveMigrationTest : public MigrationTest,
+                          public ::testing::WithParamInterface<SchedMode> {};
+
+TEST_P(LiveMigrationTest, LosesNoMessageOnEncryptedChannel) {
   RuntimeOptions options;
-  options.sched = SchedMode::kSteal;
+  options.sched = GetParam();
   Runtime rt(options);
   rt.enclave("live.e0");
   sgxsim::Enclave& e1 = rt.enclave("live.e1");
@@ -350,6 +354,13 @@ TEST_F(MigrationTest, LiveMigrationLosesNoMessageOnEncryptedChannel) {
   EXPECT_EQ(coordinator.pause_hist().count(),
             static_cast<std::uint64_t>(moves));
 }
+
+INSTANTIATE_TEST_SUITE_P(Sched, LiveMigrationTest,
+                         ::testing::Values(SchedMode::kStatic,
+                                           SchedMode::kSteal),
+                         [](const ::testing::TestParamInfo<SchedMode>& p) {
+                           return std::string(to_string(p.param));
+                         });
 
 TEST_F(MigrationTest, EpcAccountingVisibleInHealth) {
   Runtime rt;

@@ -25,7 +25,7 @@ namespace {
 using util::Bytes;
 using util::to_bytes;
 
-PosOptions sharded_options(int magazines) {
+PosOptions sharded_options(bool magazines) {
   PosOptions options;
   options.entry_count = 2048;
   options.bucket_count = 64;
@@ -60,7 +60,7 @@ void expect_conserved(const Pos& store, std::uint32_t entry_count) {
 // allocating the whole store from a single thread therefore forces the
 // refill path to steal from every other shard.
 TEST(PosSharding, SingleThreadAllocatesAcrossAllShards) {
-  for (int magazines : {0, 1}) {
+  for (bool magazines : {false, true}) {
     PosOptions options = sharded_options(magazines);
     options.entry_count = 64;
     Pos store(options);
@@ -85,9 +85,9 @@ TEST(PosSharding, SingleThreadAllocatesAcrossAllShards) {
 TEST(PosSharding, ModesAreObservationallyEquivalent) {
   struct ModeCfg {
     std::uint32_t free_shards;
-    int magazines;
+    bool magazines;
   };
-  const ModeCfg cfgs[] = {{1, 0}, {8, 0}, {8, 1}};
+  const ModeCfg cfgs[] = {{1, false}, {8, false}, {8, true}};
   std::map<std::uint64_t, std::string> model;
   std::vector<std::unique_ptr<Pos>> stores;
   for (const ModeCfg& cfg : cfgs) {
@@ -141,7 +141,7 @@ TEST(PosSharding, ModesAreObservationallyEquivalent) {
 // Each operation announces its own epoch section internally; every few
 // iterations a worker also wraps a batch in an explicit Section to
 // exercise the nested-entry path. Conservation must hold once quiescent.
-void run_stress(int magazines) {
+void run_stress(bool magazines) {
   PosOptions options = sharded_options(magazines);
   Pos store(options);
 
@@ -210,9 +210,9 @@ void run_stress(int magazines) {
   ASSERT_EQ(store.integrity_error(), std::nullopt);
 }
 
-TEST(PosStress, ConcurrentMutationWithCleaner) { run_stress(1); }
+TEST(PosStress, ConcurrentMutationWithCleaner) { run_stress(true); }
 
-TEST(PosStress, ConcurrentMutationWithCleanerNoMagazines) { run_stress(0); }
+TEST(PosStress, ConcurrentMutationWithCleanerNoMagazines) { run_stress(false); }
 
 // Pure allocation race: all threads hammer distinct-key sets until the
 // store is exhausted. Every successful set consumes exactly one slot (a
@@ -222,7 +222,7 @@ TEST(PosStress, ConcurrentMutationWithCleanerNoMagazines) { run_stress(0); }
 // thread may run out of attempts while still holding stock, so a small
 // bounded remainder can flow back to the free lists at thread exit.
 TEST(PosStress, ExhaustionIsExact) {
-  for (int magazines : {0, 1}) {
+  for (bool magazines : {false, true}) {
     PosOptions options = sharded_options(magazines);
     options.entry_count = 512;
     Pos store(options);
@@ -249,7 +249,7 @@ TEST(PosStress, ExhaustionIsExact) {
     EXPECT_EQ(stats.live, won) << "magazines=" << magazines;
     EXPECT_EQ(stats.live + stats.free, 512u);
     EXPECT_EQ(stats.free, stats.free_listed + stats.in_magazine);
-    if (magazines == 0) {
+    if (!magazines) {
       EXPECT_EQ(won, 512u);
     } else {
       EXPECT_GE(won, 512u - kThreads * kPosMagazineCapacity);

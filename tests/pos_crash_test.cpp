@@ -55,7 +55,7 @@ PosOptions torture_options(const std::string& path) {
   o.entry_count = 256;
   o.entry_payload = 128;
   o.free_shards = 4;
-  o.magazines = 1;  // pin rather than inherit EA_POS_MAGAZINE
+  o.magazines = true;
   return o;
 }
 
@@ -337,6 +337,42 @@ TEST(PosCrashTorture, EncryptedModeSurvivesSampledKillPoints) {
   torture(true);
 }
 
+// --- cleaner unlink order (DESIGN.md §15) ----------------------------------
+//
+// `set k v1; set k v2; erase k` leaves the chain [v2 Erased][v1 Outdated].
+// The cleaner must unlink v1 before v2: unlinking top-down exposes v1 to
+// any get() between the two unlinks, and a crash there makes the
+// resurrection permanent. The child dies at the first unlink of one
+// clean_step(); the reopened store must still read the key as erased.
+TEST(PosCleanOrder, CrashBetweenUnlinksNeverResurrectsErasedKey) {
+  Paths p = make_paths("unlink_order");
+  unlink_paths(p);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    fp::clear_all();
+    Pos store(torture_options(p.store));
+    const bool ok = store.set(to_bytes("k"), to_bytes("v1")) &&
+                    store.set(to_bytes("k"), to_bytes("v2")) &&
+                    store.erase(to_bytes("k"));
+    if (!ok) ::_exit(42);
+    fp::set("pos.clean.unlink", "abort(1)");
+    store.clean_step();
+    ::_exit(0);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT)
+      << "child status " << status;
+
+  Pos store(torture_options(p.store));
+  const auto integrity = store.integrity_error();
+  EXPECT_FALSE(integrity.has_value()) << *integrity;
+  const auto got = store.get(to_bytes("k"));
+  EXPECT_FALSE(got.has_value())
+      << "erased key resurrected as " << util::to_string(*got);
+  unlink_paths(p);
+}
+
 // --- failpoint-driven unit coverage of the construction/persist sites ------
 
 class PosFailpointTest : public ::testing::Test {
@@ -395,7 +431,7 @@ TEST_F(PosFailpointTest, StealSiteFiresWhenHomeShardRunsDry) {
   PosOptions o;
   o.free_shards = 8;
   o.entry_count = 64;
-  o.magazines = 0;  // single-pop path: pop_or_steal
+  o.magazines = false;  // single-pop path: pop_or_steal
   Pos store(o);
   const std::uint64_t before = fp::evals("pos.freeshard.steal");
   for (int i = 0; i < 64; ++i) {
@@ -410,7 +446,7 @@ TEST_F(PosFailpointTest, StealSiteFiresOnStripedMagazineRefill) {
   PosOptions o;
   o.free_shards = 8;
   o.entry_count = 64;
-  o.magazines = 1;
+  o.magazines = true;
   Pos store(o);
   const std::uint64_t before = fp::evals("pos.freeshard.steal");
   // The very first refill stripes across the shards (one entry each, home
@@ -424,7 +460,7 @@ TEST_F(PosFailpointTest, MagazineFlushSiteFiresOnTeardown) {
   {
     PosOptions o;
     o.free_shards = 2;
-    o.magazines = 1;
+    o.magazines = true;
     Pos store(o);
     // One set refills a full magazine batch and consumes a single entry;
     // the leftovers must flow back through magazine_return at teardown.

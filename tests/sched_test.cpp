@@ -303,16 +303,32 @@ TEST_F(SchedTest, StealStressSkewedHomeAssignment) {
   EXPECT_GT(snap_dispatches, snap_steals);
 }
 
+// The worker's actors sit in different enclaves, so the static round
+// switches enclave between dispatches: every body must still run inside
+// its own placement, whichever enclave the previous dispatch left.
 TEST_F(SchedTest, StaticModeLeavesQueuesUnusedAndNeverSteals) {
   Runtime rt;  // default options: SchedMode::kStatic
   std::atomic<std::uint64_t> violations{0};
-  auto a = std::make_unique<AffinityProbeActor>("a");
-  a->violations_ = &violations;
-  AffinityProbeActor* probe = a.get();
-  rt.add_actor(std::move(a), "e1");
-  rt.add_worker("w0", {}, {"a"});
+  std::vector<AffinityProbeActor*> probes;
+  auto add = [&](const std::string& name, const std::string& enclave) {
+    auto actor = std::make_unique<AffinityProbeActor>(name);
+    actor->violations_ = &violations;
+    probes.push_back(actor.get());
+    rt.add_actor(std::move(actor), enclave);
+  };
+  add("a", "e1");
+  add("b", "e1");
+  add("u", "");
+  add("c", "e2");
+  add("d", "e1");
+  rt.add_worker("w0", {}, {"a", "b", "u", "c", "d"});
   rt.start();
-  EXPECT_TRUE(eventually([&] { return probe->invocations() > 100; }));
+  EXPECT_TRUE(eventually([&] {
+    for (const AffinityProbeActor* p : probes) {
+      if (p->invocations() <= 100) return false;
+    }
+    return true;
+  }));
   rt.stop();
 
   EXPECT_EQ(violations.load(), 0u);
