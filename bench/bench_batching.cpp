@@ -9,7 +9,10 @@
 //   transition — one ECall per message vs one ECall per batch (the enclave
 //                transition amortisation the paper's design is built on);
 //   pool       — get/put churn with per-thread magazines vs the bare
-//                shared LIFO.
+//                shared LIFO;
+//   seal_64k   — one 64 KiB message per send/recv over an encrypted channel,
+//                software AEAD vs the hardware cipher model: how far the
+//                real cipher is from AES-NI speed.
 //
 // Prints the usual CSV rows and additionally writes a machine-readable
 // report to BENCH_batching.json (override with EA_BENCH_JSON).
@@ -276,6 +279,48 @@ double run_pool(std::size_t workers, bool magazines) {
   return static_cast<double>(cycled.load()) / secs;
 }
 
+// --- seal_64k: bulk messages, software AEAD vs the hardware model ----------
+
+constexpr std::size_t kBulkBytes = 64 * 1024;
+constexpr int kBulkRounds = 3;
+
+// 64 KiB send+recv round trips per second over an encrypted channel.
+double run_bulk(core::CipherModel cipher) {
+  auto& mgr = sgxsim::EnclaveManager::instance();
+  concurrent::NodeArena arena(4, kBulkBytes + 64);
+  concurrent::Pool pool;
+  pool.adopt(arena);
+  core::ChannelOptions ch_options;
+  ch_options.cipher = cipher;
+  std::uint64_t done = 0;
+  double secs = 0;
+  {
+    core::Channel channel("bench.batching.bulk", ch_options, pool);
+    core::ChannelEnd* tx =
+        channel.connect(mgr.create("bench.batching.bulk.a").id());
+    core::ChannelEnd* rx =
+        channel.connect(mgr.create("bench.batching.bulk.b").id());
+    if (!channel.encrypted()) {
+      bench::note("WARNING: bulk channel did not come up encrypted");
+    }
+    const std::vector<std::uint8_t> payload(kBulkBytes, 0x5a);
+    // The smoke runs' 20 ms windows would time only a handful of 64 KiB
+    // messages; a 0.1 s floor keeps the gated ratio steady.
+    const double window = std::max(0.1, run_seconds());
+    bench::Timer timer;
+    while (timer.seconds() < window) {
+      if (!tx->send(payload) || !rx->recv()) {
+        bench::note("WARNING: bulk send/recv failed");
+        break;
+      }
+      ++done;
+    }
+    secs = timer.seconds();
+  }
+  mgr.reset_for_testing();
+  return static_cast<double>(done) / secs;
+}
+
 }  // namespace
 
 int main() {
@@ -353,6 +398,19 @@ int main() {
     report.add("pool", "magazine", static_cast<double>(w), magazine, "msg/s");
   }
 
+  // Alternating rounds, best of each, so a slow moment on the host does not
+  // land on one cipher only; scripts/check.sh gates the ratio.
+  double bulk_sw = 0, bulk_hw = 0;
+  for (int round = 0; round < kBulkRounds; ++round) {
+    bulk_sw = std::max(bulk_sw, run_bulk(core::CipherModel::kSoftwareAead));
+    bulk_hw = std::max(bulk_hw, run_bulk(core::CipherModel::kHardwareModel));
+  }
+  const auto bulk_x = static_cast<double>(kBulkBytes);
+  bench::row("batching", "seal_64k.software", bulk_x, bulk_sw, "msg/s");
+  bench::row("batching", "seal_64k.hw_model", bulk_x, bulk_hw, "msg/s");
+  report.add("seal_64k", "software", bulk_x, bulk_sw, "msg/s");
+  report.add("seal_64k", "hw_model", bulk_x, bulk_hw, "msg/s");
+
   const std::string path = util::env_str("EA_BENCH_JSON", "BENCH_batching.json");
   if (!report.write(path)) {
     bench::note("failed to write %s", path.c_str());
@@ -362,5 +420,7 @@ int main() {
   bench::note("burst/per-node at 4 workers: mbox %.2fx, encrypted channel "
               "%.2fx (target: >= 2x on the channel path)",
               mbox_ratio4, chan_ratio4);
+  bench::note("64 KiB send+recv, software AEAD / hardware model time: %.2fx",
+              bulk_hw / bulk_sw);
   return 0;
 }

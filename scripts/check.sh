@@ -25,7 +25,10 @@
 #               unpinned on every CPU of the host (prints nproc): a test that
 #               fails intermittently on multi-core fails this leg
 #   bench       bench smoke: bench_batching + bench_pos + bench_sched,
-#               JSON schema check (incl. the zero-copy counter guard)
+#               JSON schema check (incl. the zero-copy counter guard), and
+#               the cipher-speed gate: a 64 KiB send+recv on the software
+#               AEAD must take <= 5x the hardware cipher model's time,
+#               both measured in the same bench_batching run
 #   posperf     perf-regression guard: a fresh `bench_pos --smoke` cleaner
 #               sweep must hold >= 0.8x of the committed BENCH_pos.json
 #               cleaner rows, per-mode geomean (the epoch-reclamation
@@ -247,12 +250,29 @@ assert set(expected) <= scenarios, scenarios
 print(f"{path} ok: {len(results)} results")
 EOF
 }
+check_cipher_ratio() {
+  # The real cipher's 64 KiB send+recv time over the hardware model's, from
+  # one run, so the ratio carries over between hosts. The rows are msg/s,
+  # so the time ratio is model rate / software rate.
+  python3 - "$1" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    rows = {r["mode"]: r["value"] for r in json.load(f)["results"]
+            if r["scenario"] == "seal_64k"}
+ratio = rows["hw_model"] / rows["software"]
+print(f"seal_64k software/hw_model time: {ratio:.2f}x (gate <= 5x)")
+sys.exit(0 if ratio <= 5.0 else 1)
+EOF
+}
 run_bench_smoke() {
   EA_BENCH_SECONDS=0.02 EA_BENCH_SCALE=0.01 \
     EA_BENCH_JSON=build-check/BENCH_batching.json \
     ./build-check/bench/bench_batching >/dev/null || return 1
   check_bench_json build-check/BENCH_batching.json batching \
-    mbox channel_enc transition pool || return 1
+    mbox channel_enc transition pool seal_64k || return 1
+  check_cipher_ratio build-check/BENCH_batching.json || return 1
   EA_BENCH_SECONDS=0.02 EA_BENCH_SCALE=0.01 \
     EA_BENCH_JSON=build-check/BENCH_pos.json \
     ./build-check/bench/bench_pos >/dev/null || return 1

@@ -1,5 +1,6 @@
 #include "crypto/aead.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/failpoint.hpp"
@@ -7,14 +8,9 @@
 namespace ea::crypto {
 namespace {
 
-PolyTag compute_tag(const AeadKey& key, const AeadNonce& nonce,
+PolyTag compute_tag(const PolyKey& poly_key,
                     std::span<const std::uint8_t> aad,
                     std::span<const std::uint8_t> ciphertext) {
-  std::uint8_t block0[64];
-  chacha20_block(key, 0, nonce, block0);
-  PolyKey poly_key;
-  std::memcpy(poly_key.data(), block0, poly_key.size());
-
   Poly1305 mac(poly_key);
   static constexpr std::uint8_t kZeros[16] = {};
   mac.update(aad);
@@ -33,15 +29,53 @@ PolyTag compute_tag(const AeadKey& key, const AeadNonce& nonce,
   return mac.finish();
 }
 
+std::uint32_t block_after(std::size_t lead) {
+  return static_cast<std::uint32_t>(1 + lead / kChaChaBlockSize);
+}
+
+// The AEAD core every entry point wraps: encrypts `body` in place and
+// returns the tag. The first keystream call makes the Poly1305 key and the
+// start of the ciphertext together.
+PolyTag seal_in_place(const AeadKey& key, const AeadNonce& nonce,
+                      std::span<const std::uint8_t> aad,
+                      std::span<std::uint8_t> body) {
+  PolyKey poly_key{};
+  const std::size_t lead =
+      chacha20_aead_lead(key, nonce, body, body.data(), poly_key.data());
+  chacha20_xor(key, block_after(lead), nonce, body.subspan(lead));
+  return compute_tag(poly_key, aad, body);
+}
+
+// Authenticates `body` against `tag` and only then decrypts it in place;
+// on failure `body` is left as it was. The lead's plaintext waits on the
+// stack until the tag checks out.
+bool open_in_place(const AeadKey& key, const AeadNonce& nonce,
+                   std::span<const std::uint8_t> aad,
+                   std::span<std::uint8_t> body,
+                   std::span<const std::uint8_t> tag) {
+  // Injected tag mismatch: behaves exactly like a corrupted frame without
+  // having to craft one, so fault tests can hit every open() call site.
+  if (EA_FAIL_TRIGGERED("crypto.aead.open")) return false;
+  PolyKey poly_key{};
+  std::uint8_t lead_plain[kChaChaMaxLead] = {};
+  const std::size_t lead =
+      chacha20_aead_lead(key, nonce, body, lead_plain, poly_key.data());
+  if (!util::ct_equal(tag, compute_tag(poly_key, aad, body))) return false;
+  std::copy_n(lead_plain, lead, body.data());
+  chacha20_xor(key, block_after(lead), nonce, body.subspan(lead));
+  return true;
+}
+
 }  // namespace
 
 util::Bytes aead_encrypt(const AeadKey& key, const AeadNonce& nonce,
                          std::span<const std::uint8_t> aad,
                          std::span<const std::uint8_t> plaintext) {
-  util::Bytes out(plaintext.begin(), plaintext.end());
-  chacha20_xor(key, 1, nonce, out);
-  PolyTag tag = compute_tag(key, nonce, aad, out);
-  out.insert(out.end(), tag.begin(), tag.end());
+  util::Bytes out(plaintext.size() + kAeadTagSize);
+  std::copy(plaintext.begin(), plaintext.end(), out.begin());
+  const PolyTag tag =
+      seal_in_place(key, nonce, aad, std::span(out).first(plaintext.size()));
+  std::copy(tag.begin(), tag.end(), out.end() - kAeadTagSize);
   return out;
 }
 
@@ -50,28 +84,19 @@ std::optional<util::Bytes> aead_decrypt(const AeadKey& key,
                                         std::span<const std::uint8_t> aad,
                                         std::span<const std::uint8_t> sealed) {
   if (sealed.size() < kAeadTagSize) return std::nullopt;
-  // Injected tag mismatch: behaves exactly like a corrupted frame without
-  // having to craft one, so fault tests can hit every open() call site.
-  if (EA_FAIL_TRIGGERED("crypto.aead.open")) return std::nullopt;
-  auto ciphertext = sealed.first(sealed.size() - kAeadTagSize);
-  auto tag = sealed.last(kAeadTagSize);
-  PolyTag expected = compute_tag(key, nonce, aad, ciphertext);
-  if (!util::ct_equal(tag, expected)) return std::nullopt;
-  util::Bytes out(ciphertext.begin(), ciphertext.end());
-  chacha20_xor(key, 1, nonce, out);
+  util::Bytes out(sealed.begin(), sealed.end() - kAeadTagSize);
+  if (!open_in_place(key, nonce, aad, out, sealed.last(kAeadTagSize))) {
+    return std::nullopt;
+  }
   return out;
 }
 
 util::Bytes seal_with_counter(const AeadKey& key, std::uint64_t counter,
                               std::span<const std::uint8_t> aad,
                               std::span<const std::uint8_t> plaintext) {
-  AeadNonce nonce{};
-  util::store_le64(nonce.data() + 4, counter);
-  util::Bytes body = aead_encrypt(key, nonce, aad, plaintext);
-  util::Bytes out;
-  out.reserve(nonce.size() + body.size());
-  out.insert(out.end(), nonce.begin(), nonce.end());
-  out.insert(out.end(), body.begin(), body.end());
+  util::Bytes out(plaintext.size() + kAeadOverhead);
+  std::copy(plaintext.begin(), plaintext.end(), out.begin() + kAeadNonceSize);
+  seal_framed_into(key, counter, aad, out);
   return out;
 }
 
@@ -91,8 +116,7 @@ void seal_framed_into(const AeadKey& key, std::uint64_t counter,
   util::store_le64(nonce.data() + 4, counter);
   std::memcpy(frame.data(), nonce.data(), nonce.size());
   auto body = frame.subspan(nonce.size(), frame.size() - kAeadOverhead);
-  chacha20_xor(key, 1, nonce, body);
-  PolyTag tag = compute_tag(key, nonce, aad, body);
+  const PolyTag tag = seal_in_place(key, nonce, aad, body);
   std::memcpy(frame.data() + frame.size() - tag.size(), tag.data(),
               tag.size());
 }
@@ -102,16 +126,13 @@ bool open_framed_in_place(const AeadKey& key,
                           std::span<std::uint8_t> framed,
                           std::size_t& plaintext_len) {
   if (framed.size() < kAeadOverhead) return false;
-  if (EA_FAIL_TRIGGERED("crypto.aead.open")) return false;
   AeadNonce nonce;
   std::memcpy(nonce.data(), framed.data(), nonce.size());
-  auto ciphertext =
-      framed.subspan(nonce.size(), framed.size() - kAeadOverhead);
-  auto tag = framed.last(kAeadTagSize);
-  PolyTag expected = compute_tag(key, nonce, aad, ciphertext);
-  if (!util::ct_equal(tag, expected)) return false;
-  chacha20_xor(key, 1, nonce, ciphertext);
-  plaintext_len = ciphertext.size();
+  auto body = framed.subspan(nonce.size(), framed.size() - kAeadOverhead);
+  if (!open_in_place(key, nonce, aad, body, framed.last(kAeadTagSize))) {
+    return false;
+  }
+  plaintext_len = body.size();
   return true;
 }
 

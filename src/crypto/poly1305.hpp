@@ -22,12 +22,14 @@ class Poly1305 {
   PolyTag finish();
 
  private:
-  void process_block(const std::uint8_t block[16], bool final_partial);
+  // Absorbs `n` whole 16-byte blocks; `hibit` is 2^128 (in limb 2's
+  // position) for full blocks and 0 for the padded final partial one.
+  void blocks(const std::uint8_t* m, std::size_t n, std::uint64_t hibit);
 
-  // 26-bit limb representation as in the reference "floodyberry" design.
-  std::uint32_t r_[5]{};
-  std::uint32_t h_[5]{};
-  std::uint8_t pad_[16]{};
+  // 3 x 44/44/42-bit limbs with 128-bit products ("donna-64" layout).
+  std::uint64_t r_[3]{};
+  std::uint64_t h_[3]{};
+  std::uint64_t pad_[2]{};
   std::uint8_t buffer_[16]{};
   std::size_t buffer_len_ = 0;
 };
